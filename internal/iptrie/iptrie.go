@@ -8,6 +8,7 @@
 package iptrie
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 )
@@ -29,10 +30,16 @@ type Trie[V any] struct {
 	size int
 }
 
-// bitAt returns bit i (0 = most significant) of the IPv4 address a.
-func bitAt(a netip.Addr, i int) int {
+// addrBits returns the IPv4 address a as a big-endian word, so a walk
+// converts it once instead of once per bit.
+func addrBits(a netip.Addr) uint32 {
 	b := a.As4()
-	return int(b[i/8]>>(7-i%8)) & 1
+	return binary.BigEndian.Uint32(b[:])
+}
+
+// bitAt returns bit i (0 = most significant) of the address word a.
+func bitAt(a uint32, i int) int {
+	return int(a>>(31-i)) & 1
 }
 
 func checkPrefix(p netip.Prefix) error {
@@ -57,8 +64,9 @@ func (t *Trie[V]) Insert(p netip.Prefix, val V) (added bool, err error) {
 		t.root = &node[V]{}
 	}
 	n := t.root
+	a := addrBits(p.Addr())
 	for i := 0; i < p.Bits(); i++ {
-		b := bitAt(p.Addr(), i)
+		b := bitAt(a, i)
 		if n.child[b] == nil {
 			n.child[b] = &node[V]{}
 		}
@@ -83,8 +91,9 @@ func (t *Trie[V]) Delete(p netip.Prefix) (removed bool, err error) {
 	}
 	p = p.Masked()
 	n := t.root
+	a := addrBits(p.Addr())
 	for i := 0; n != nil && i < p.Bits(); i++ {
-		n = n.child[bitAt(p.Addr(), i)]
+		n = n.child[bitAt(a, i)]
 	}
 	if n == nil || !n.has {
 		return false, nil
@@ -104,8 +113,9 @@ func (t *Trie[V]) Get(p netip.Prefix) (val V, ok bool) {
 	}
 	p = p.Masked()
 	n := t.root
+	a := addrBits(p.Addr())
 	for i := 0; n != nil && i < p.Bits(); i++ {
-		n = n.child[bitAt(p.Addr(), i)]
+		n = n.child[bitAt(a, i)]
 	}
 	if n == nil || !n.has {
 		return zero, false
@@ -121,6 +131,7 @@ func (t *Trie[V]) LongestMatch(addr netip.Addr) (p netip.Prefix, val V, ok bool)
 		return netip.Prefix{}, zero, false
 	}
 	n := t.root
+	a := addrBits(addr)
 	bestLen := -1
 	var bestVal V
 	for i := 0; n != nil; i++ {
@@ -131,7 +142,7 @@ func (t *Trie[V]) LongestMatch(addr netip.Addr) (p netip.Prefix, val V, ok bool)
 		if i == 32 {
 			break
 		}
-		n = n.child[bitAt(addr, i)]
+		n = n.child[bitAt(a, i)]
 	}
 	if bestLen < 0 {
 		return netip.Prefix{}, zero, false
@@ -151,6 +162,7 @@ func (t *Trie[V]) Matches(addr netip.Addr) []Entry[V] {
 	}
 	var out []Entry[V]
 	n := t.root
+	a := addrBits(addr)
 	for i := 0; n != nil; i++ {
 		if n.has {
 			p, err := addr.Prefix(i)
@@ -162,7 +174,7 @@ func (t *Trie[V]) Matches(addr netip.Addr) []Entry[V] {
 		if i == 32 {
 			break
 		}
-		n = n.child[bitAt(addr, i)]
+		n = n.child[bitAt(a, i)]
 	}
 	return out
 }

@@ -157,8 +157,11 @@ func TestHTTPRIB(t *testing.T) {
 		t.Errorf("/rib?addr LPM = %q, want the /24", resp.Prefix)
 	}
 
-	if code, _ := httpGet(t, base+"/rib?prefix=172.16.0.0/12"); code != http.StatusNotFound {
-		t.Errorf("missing prefix: status %d, want 404", code)
+	// IPv6 queries parse but can never match the IPv4 RIB.
+	for _, missing := range []string{"/rib?prefix=172.16.0.0/12", "/rib?prefix=2001:db8::/32", "/rib?addr=2001:db8::1"} {
+		if code, _ := httpGet(t, base+missing); code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", missing, code)
+		}
 	}
 	for _, bad := range []string{"/rib", "/rib?prefix=nope", "/rib?addr=nope"} {
 		if code, _ := httpGet(t, base+bad); code != http.StatusBadRequest {

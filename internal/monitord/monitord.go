@@ -213,6 +213,11 @@ type Daemon struct {
 
 	shards  []chan item
 	shardWG sync.WaitGroup
+	// freeBatches returns processed batch buffers from the workers to
+	// the session readers. Its capacity is the number of batches the
+	// shard queues can hold, so the list never keeps more buffers alive
+	// than a full pipeline already does.
+	freeBatches chan []item
 
 	bgpLn   net.Listener
 	httpLn  net.Listener
@@ -256,13 +261,14 @@ func New(cfg Config) (*Daemon, error) {
 	met := newMetrics(cfg.Registry)
 	d := &Daemon{
 		cfg: cfg, mon: mon,
-		rib:      newLiveRIB(cfg.Shards),
-		rng:      newRing(cfg.AlertBuffer, met.alertsDropped),
-		met:      met,
-		stageOn:  !cfg.DisableLatencyMetrics,
-		shards:   make([]chan item, cfg.Shards),
-		rawConns: make(map[net.Conn]struct{}),
-		sessions: make(map[int]*sessionInfo),
+		rib:         newLiveRIB(cfg.Shards),
+		rng:         newRing(cfg.AlertBuffer, met.alertsDropped),
+		met:         met,
+		stageOn:     !cfg.DisableLatencyMetrics,
+		shards:      make([]chan item, cfg.Shards),
+		freeBatches: make(chan []item, cfg.Shards*cfg.QueueDepth),
+		rawConns:    make(map[net.Conn]struct{}),
+		sessions:    make(map[int]*sessionInfo),
 	}
 	d.dialCtx, d.dialCancel = context.WithCancel(context.Background())
 
@@ -489,19 +495,27 @@ func flattenPath(p bgp.ASPath) []bgp.ASN {
 }
 
 // stageItem validates one item and appends it to its shard's pending
-// run (dropping non-IPv4 prefixes, counted).
+// run (dropping non-IPv4 prefixes, counted). A shard's run starts in a
+// buffer recycled by the workers when one is free, keeping the capacity
+// it grew to.
 func (d *Daemon) stageItem(shardBufs [][]item, it item) {
 	if !it.prefix.IsValid() || !it.prefix.Addr().Is4() {
 		d.met.droppedNonIPv4.Add(1)
 		return
 	}
 	shard := d.rib.shardOf(it.prefix)
+	if shardBufs[shard] == nil {
+		select {
+		case shardBufs[shard] = <-d.freeBatches:
+		default:
+		}
+	}
 	shardBufs[shard] = append(shardBufs[shard], it)
 }
 
 // flushShardBufs sends every staged run to its shard worker as a single
 // batch item and resets the buffers (ownership of each slice passes to
-// the worker).
+// the worker, which hands it back through freeBatches).
 func (d *Daemon) flushShardBufs(shardBufs [][]item) {
 	for shard, items := range shardBufs {
 		if len(items) == 0 {
@@ -547,6 +561,12 @@ func (d *Daemon) worker(ch chan item) {
 			last := len(it.batch) - 1
 			for i := range it.batch {
 				d.process(&it.batch[i], i == last)
+			}
+			// Drop the items' references before the buffer goes back.
+			clear(it.batch)
+			select {
+			case d.freeBatches <- it.batch[:0]:
+			default:
 			}
 			continue
 		}

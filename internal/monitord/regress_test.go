@@ -4,6 +4,7 @@ import (
 	"net"
 	"net/netip"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -289,5 +290,73 @@ func waitCounter(t *testing.T, w *counterWait) {
 			t.Fatalf("%s = %d, want >= %d", w.what, w.get(), w.want)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestRecycledBatchesConcurrentSessions floods one daemon from several
+// BGP sessions at once through tiny shard queues, so dispatch batches
+// are recycled between the session readers and the workers constantly,
+// and requires the RIB to hold exactly each session's last path for
+// every prefix: a batch buffer reused while a worker still reads it
+// would mix paths across sessions or rounds.
+func TestRecycledBatchesConcurrentSessions(t *testing.T) {
+	const sessions, rounds, nPrefixes = 3, 8, 256
+	d := newTestDaemon(t, Config{
+		Speaker: bgpd.Config{
+			ASN: 64500, BGPID: netip.MustParseAddr("198.51.100.1"),
+			HoldTime: 3 * time.Second,
+		},
+		ListenBGP:  "127.0.0.1:0",
+		Shards:     4,
+		QueueDepth: 2,
+		ReadBatch:  8,
+	})
+	prefixes := make([]netip.Prefix, nPrefixes)
+	for i := range prefixes {
+		prefixes[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{11, 0, byte(i), 0}), 24)
+	}
+	var wg sync.WaitGroup
+	for s := 0; s < sessions; s++ {
+		sess := dialDaemon(t, d)
+		defer sess.Close()
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for r := 1; r <= rounds; r++ {
+				updates := make([]*bgp.Update, nPrefixes)
+				for i, p := range prefixes {
+					updates[i] = &bgp.Update{
+						NLRI: []netip.Prefix{p},
+						Attrs: bgp.PathAttributes{
+							HasOrigin: true, Origin: bgp.OriginIGP,
+							HasASPath: true, ASPath: bgp.Sequence(asns(64501, uint32(65000+s), uint32(r))...),
+							NextHop: netip.MustParseAddr("203.0.113.1"),
+						},
+					}
+				}
+				if err := sess.SendUpdates(updates); err != nil {
+					t.Errorf("session %d round %d: %v", s, r, err)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	waitCounter(t, &counterWait{get: d.met.updates.Value, want: sessions * rounds * nPrefixes, what: "updates"})
+	if !d.WaitQuiesce(5 * time.Second) {
+		t.Fatal("pipeline did not quiesce")
+	}
+	for _, p := range prefixes {
+		e, ok := d.rib.Lookup(p)
+		if !ok || len(e.Routes) != sessions {
+			t.Fatalf("%v: %+v, %v; want one route per session", p, e, ok)
+		}
+		seen := make(map[bgp.ASN]bool)
+		for _, rt := range e.Routes {
+			if len(rt.Path) != 3 || rt.Path[2] != rounds || seen[rt.Path[1]] {
+				t.Fatalf("%v: routes %+v, want each session's round-%d path once", p, e.Routes, rounds)
+			}
+			seen[rt.Path[1]] = true
+		}
 	}
 }

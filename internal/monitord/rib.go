@@ -1,12 +1,14 @@
 package monitord
 
 import (
+	"cmp"
+	"encoding/binary"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
 	"quicksand/internal/bgp"
-	"quicksand/internal/iptrie"
 )
 
 // Route is one session's live path for a prefix.
@@ -43,22 +45,46 @@ func (e *RIBEntry) Best() (Route, bool) {
 }
 
 // liveRIB is the daemon's sharded routing table: prefix -> per-session
-// path state over internal/iptrie. Each shard is guarded by its own
-// RWMutex; the dispatcher routes every update for a prefix to the same
-// shard, so writes per shard come from a single worker while HTTP
-// lookups take read locks.
+// path state. Each shard is one hash map keyed by the packed IPv4 prefix
+// (ribKey) whose value holds the prefix's routes in ascending session
+// order, so a re-announcement from a known session is one probe and an
+// in-place overwrite. Each shard is guarded by its own RWMutex; the
+// dispatcher routes every update for a prefix to the same shard, so
+// writes per shard come from a single worker while HTTP lookups take
+// read locks.
 type liveRIB struct {
 	shards []ribShard
 }
 
 type ribShard struct {
-	mu   sync.RWMutex
-	trie iptrie.Trie[map[int]Route]
-	size int
+	mu     sync.RWMutex
+	routes map[uint64][]Route // ribKey -> routes, ascending session, never empty
 }
 
 func newLiveRIB(shards int) *liveRIB {
-	return &liveRIB{shards: make([]ribShard, shards)}
+	r := &liveRIB{shards: make([]ribShard, shards)}
+	for i := range r.shards {
+		r.shards[i].routes = make(map[uint64][]Route)
+	}
+	return r
+}
+
+// ribKey packs a masked IPv4 prefix as address<<8 | length. Ascending
+// keys order prefixes by address, then shorter first. ok is false for
+// anything but a valid IPv4 prefix.
+func ribKey(p netip.Prefix) (key uint64, ok bool) {
+	if !p.IsValid() || !p.Addr().Is4() {
+		return 0, false
+	}
+	a := p.Masked().Addr().As4()
+	return uint64(binary.BigEndian.Uint32(a[:]))<<8 | uint64(p.Bits()), true
+}
+
+// keyPrefix is the inverse of ribKey.
+func keyPrefix(k uint64) netip.Prefix {
+	var a [4]byte
+	binary.BigEndian.PutUint32(a[:], uint32(k>>8))
+	return netip.PrefixFrom(netip.AddrFrom4(a), int(k&0xFF))
 }
 
 // shardOf maps a prefix to its shard by FNV-1a over the masked address
@@ -79,77 +105,75 @@ func (r *liveRIB) shardOf(p netip.Prefix) int {
 // is a legal announcement (AS_PATH present with zero segments) and is
 // stored, not treated as a withdrawal.
 func (r *liveRIB) apply(t time.Time, session int, prefix netip.Prefix, path []bgp.ASN) {
+	k, ok := ribKey(prefix)
+	if !ok {
+		return // non-IPv4 prefix; the decode layer never produces one
+	}
 	sh := &r.shards[r.shardOf(prefix)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	routes, ok := sh.trie.Get(prefix)
+	routes := sh.routes[k]
+	i, found := slices.BinarySearchFunc(routes, session, func(rt Route, s int) int {
+		return cmp.Compare(rt.Session, s)
+	})
 	if path == nil {
-		if !ok {
+		if !found {
 			return
 		}
-		delete(routes, session)
-		if len(routes) == 0 {
-			if removed, _ := sh.trie.Delete(prefix); removed {
-				sh.size--
-			}
+		if routes = slices.Delete(routes, i, i+1); len(routes) == 0 {
+			delete(sh.routes, k)
+		} else {
+			sh.routes[k] = routes
 		}
 		return
 	}
-	if !ok {
-		routes = make(map[int]Route, 1)
-		if added, err := sh.trie.Insert(prefix, routes); err != nil {
-			return // non-IPv4 prefix; the decode layer never produces one
-		} else if added {
-			sh.size++
-		}
+	rt := Route{Session: session, Path: path, Updated: t}
+	if found {
+		routes[i] = rt
+		return
 	}
-	routes[session] = Route{Session: session, Path: path, Updated: t}
+	sh.routes[k] = slices.Insert(routes, i, rt)
 }
 
-func snapshotEntry(p netip.Prefix, routes map[int]Route) *RIBEntry {
-	e := &RIBEntry{Prefix: p, Routes: make([]Route, 0, len(routes))}
-	for _, rt := range routes {
-		cp := rt
+// snapshotEntry deep-copies a shard's routes for p so the caller can
+// retain it after the shard lock is released.
+func snapshotEntry(p netip.Prefix, routes []Route) *RIBEntry {
+	e := &RIBEntry{Prefix: p, Routes: make([]Route, len(routes))}
+	for i, rt := range routes {
+		e.Routes[i] = rt
 		// append onto a non-nil base so an empty-AS_PATH announcement
 		// stays distinguishable from a withdrawal in the snapshot.
-		cp.Path = append([]bgp.ASN{}, rt.Path...)
-		e.Routes = append(e.Routes, cp)
-	}
-	for i := 1; i < len(e.Routes); i++ {
-		for j := i; j > 0 && e.Routes[j].Session < e.Routes[j-1].Session; j-- {
-			e.Routes[j], e.Routes[j-1] = e.Routes[j-1], e.Routes[j]
-		}
+		e.Routes[i].Path = append([]bgp.ASN{}, rt.Path...)
 	}
 	return e
 }
 
 // Lookup returns the live entry stored at exactly prefix p.
 func (r *liveRIB) Lookup(p netip.Prefix) (*RIBEntry, bool) {
+	k, ok := ribKey(p)
+	if !ok {
+		return nil, false
+	}
 	sh := &r.shards[r.shardOf(p)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	routes, ok := sh.trie.Get(p)
+	routes, ok := sh.routes[k]
 	if !ok {
 		return nil, false
 	}
 	return snapshotEntry(p.Masked(), routes), true
 }
 
-// LookupAddr returns the most specific live entry covering addr. Shards
-// partition by prefix, so the longest match is taken across all of them.
+// LookupAddr returns the most specific live entry covering addr: one
+// exact-prefix probe per length, /32 down to /0, each in the shard that
+// owns that prefix.
 func (r *liveRIB) LookupAddr(addr netip.Addr) (*RIBEntry, bool) {
-	var best *RIBEntry
-	bestBits := -1
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		if p, routes, ok := sh.trie.LongestMatch(addr); ok && p.Bits() > bestBits {
-			best = snapshotEntry(p, routes)
-			bestBits = p.Bits()
+	for bits := 32; bits >= 0; bits-- {
+		if e, ok := r.Lookup(netip.PrefixFrom(addr, bits)); ok {
+			return e, true
 		}
-		sh.mu.RUnlock()
 	}
-	return best, best != nil
+	return nil, false
 }
 
 // Size returns the number of prefixes with at least one live route.
@@ -158,22 +182,27 @@ func (r *liveRIB) Size() int {
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.RLock()
-		n += sh.size
+		n += len(sh.routes)
 		sh.mu.RUnlock()
 	}
 	return n
 }
 
-// Walk visits a snapshot of every live entry, shard by shard.
+// Walk visits a snapshot of every live entry, shard by shard; within a
+// shard, by address and then shorter prefix first.
 func (r *liveRIB) Walk(fn func(*RIBEntry) bool) {
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.RLock()
-		var entries []*RIBEntry
-		sh.trie.Walk(func(p netip.Prefix, routes map[int]Route) bool {
-			entries = append(entries, snapshotEntry(p, routes))
-			return true
-		})
+		keys := make([]uint64, 0, len(sh.routes))
+		for k := range sh.routes {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		entries := make([]*RIBEntry, len(keys))
+		for j, k := range keys {
+			entries[j] = snapshotEntry(keyPrefix(k), sh.routes[k])
+		}
 		sh.mu.RUnlock()
 		for _, e := range entries {
 			if !fn(e) {

@@ -1,6 +1,7 @@
 package monitord
 
 import (
+	"math/rand"
 	"net/netip"
 	"testing"
 	"time"
@@ -169,5 +170,43 @@ func TestRIBConcurrentLookupApply(t *testing.T) {
 		if rt.Session < 0 {
 			t.Fatalf("session mutated through snapshot: %+v", rt)
 		}
+	}
+}
+
+// TestRIBReannounceAllocs pins the flat RIB's hot path: a known session
+// re-announcing a prefix overwrites its route in place, allocating
+// nothing.
+func TestRIBReannounceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	rib := newLiveRIB(8)
+	p := netip.MustParsePrefix("203.0.113.0/24")
+	t0 := time.Unix(1000, 0)
+	path := asns(64501, 64510)
+	rib.apply(t0, 0, p, path)
+	rib.apply(t0, 2, p, path)
+	if n := testing.AllocsPerRun(100, func() { rib.apply(t0, 2, p, path) }); n != 0 {
+		t.Errorf("re-announcement allocates %.1f times, want 0", n)
+	}
+}
+
+// BenchmarkRIBApply re-announces, in a seeded random order, over a full
+// table of 300K /24s with one session per prefix: the steady state of
+// liveRIB.apply under a full-table feed.
+func BenchmarkRIBApply(b *testing.B) {
+	const n = 300_000
+	rib := newLiveRIB(8)
+	prefixes := make([]netip.Prefix, n)
+	path := asns(64501, 64510, 64520)
+	t0 := time.Unix(1000, 0)
+	for i, v := range rand.New(rand.NewSource(1)).Perm(1 << 20)[:n] {
+		prefixes[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{40 + byte(v>>16), byte(v >> 8), byte(v), 0}), 24)
+		rib.apply(t0, 0, prefixes[i], path)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rib.apply(t0, 0, prefixes[i%n], path)
 	}
 }

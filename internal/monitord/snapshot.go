@@ -39,6 +39,9 @@ import (
 const (
 	snapshotMagic   = "QSRIB"
 	snapshotVersion = 1
+	// maxSessionHint caps the session map preallocated from a snapshot
+	// header; larger registries grow the map as their rows are read.
+	maxSessionHint = 1024
 )
 
 // ErrSnapshotFormat reports a snapshot that is not a QSRIB dump or has
@@ -233,7 +236,9 @@ func (d *Daemon) LoadSnapshot(r io.Reader) (*SnapshotStats, error) {
 	if err != nil {
 		return stats, fmt.Errorf("%w: session count: %v", ErrSnapshotFormat, err)
 	}
-	idMap := make(map[int]int, nSessions)
+	// The header count is untrusted: it only hints the map size, capped,
+	// and every row it claims must still be read from the file.
+	idMap := make(map[int]int, min(nSessions, maxSessionHint))
 	for i := uint32(0); i < nSessions; i++ {
 		savedID, err := readU32()
 		if err != nil {

@@ -2,9 +2,12 @@ package monitord
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"net/netip"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -147,4 +150,83 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 			t.Errorf("%s: error %v does not wrap ErrSnapshotFormat", name, err)
 		}
 	}
+}
+
+// TestSnapshotHostileSessionCount pins that the session count in a
+// snapshot header is not trusted for allocation: a 10-byte file claiming
+// 2^28 sessions fails on the missing rows without reserving memory for
+// them.
+func TestSnapshotHostileSessionCount(t *testing.T) {
+	d := newTestDaemon(t, Config{Shards: 2})
+	data := append([]byte(snapshotMagic), snapshotVersion, 0x10, 0, 0, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := d.LoadSnapshot(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrSnapshotFormat) {
+		t.Fatalf("LoadSnapshot = %v, want ErrSnapshotFormat", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("LoadSnapshot of a %d-byte file allocated %d bytes", len(data), n)
+	}
+}
+
+// snapshotBytes saves d's snapshot, failing the test on error.
+func snapshotBytes(t *testing.T, d *Daemon) []byte {
+	t.Helper()
+	if !d.WaitQuiesce(5 * time.Second) {
+		t.Fatal("pipeline did not quiesce")
+	}
+	var buf bytes.Buffer
+	if _, err := d.SaveSnapshot(&buf); err != nil {
+		t.Fatalf("SaveSnapshot: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzLoadSnapshot: LoadSnapshot must never panic or over-allocate on
+// arbitrary bytes, and any file it accepts must save to a canonical
+// snapshot that a fresh daemon restores and saves again byte for byte.
+// The corpus is seeded from SaveSnapshot so the fuzzer starts inside
+// the valid format.
+func FuzzLoadSnapshot(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(append([]byte(snapshotMagic), snapshotVersion, 0x10, 0, 0, 0))
+	for _, withRoutes := range []bool{false, true} {
+		d, err := New(Config{Watched: map[netip.Prefix]bgp.ASN{watchedPrefix: watchedOrigin}, Shards: 1})
+		if err != nil {
+			f.Fatal(err)
+		}
+		s0 := d.RegisterSource("rrc00", 64501)
+		s1 := d.RegisterSource("rrc01", 64502)
+		if withRoutes {
+			t0 := time.Unix(5000, 0)
+			d.Ingest(s0, t0, watchedPrefix, asns(64501, 64500, 64496))
+			d.Ingest(s1, t0, watchedPrefix, []bgp.ASN{})
+			d.Ingest(s1, t0.Add(time.Second), netip.MustParsePrefix("192.0.2.0/24"), asns(64502, 64510))
+		}
+		d.WaitQuiesce(5 * time.Second)
+		var buf bytes.Buffer
+		if _, err := d.SaveSnapshot(&buf); err != nil {
+			f.Fatal(err)
+		}
+		d.Shutdown(context.Background())
+		f.Add(buf.Bytes())
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg := Config{Shards: 1, QueueDepth: 16}
+		d := newTestDaemon(t, cfg)
+		if _, err := d.LoadSnapshot(bytes.NewReader(data)); err != nil {
+			return
+		}
+		first := snapshotBytes(t, d)
+		d2 := newTestDaemon(t, cfg)
+		if _, err := d2.LoadSnapshot(bytes.NewReader(first)); err != nil {
+			t.Fatalf("restoring a saved snapshot: %v", err)
+		}
+		if second := snapshotBytes(t, d2); !bytes.Equal(first, second) {
+			t.Fatalf("save/restore/save is not a fixed point:\n%x\n%x", first, second)
+		}
+	})
 }

@@ -15,8 +15,10 @@
 #      engine vs the brute-force oracle, the sampled estimator vs the
 #      exact matrix, and worker-count invariance
 #   7. serve smoke: the loopback monitord end-to-end tests under -race
-#      (including ingest-batch-size alert equivalence), plus the
-#      observability wiring (-metrics-addr/-pprof) smoke test
+#      (including ingest-batch-size alert equivalence, the flat-RIB vs
+#      trie-reference differential and the monitord/fleet vs batch
+#      monitor equivalence checkers), plus the observability wiring
+#      (-metrics-addr/-pprof) smoke test
 #   8. RIB snapshot round trip: save/restore through the versioned
 #      binary snapshot must reproduce the RIB exactly and replay
 #      restored routes through the monitor
@@ -87,16 +89,21 @@ go test -race -count=1 -run 'TestExactMatchesOracle|TestSampledWithinBound|TestW
 echo "== serve smoke (loopback daemon end-to-end, -race) =="
 # The monitord acceptance path: boot `quicksand serve` wiring and the
 # daemon on loopback, replay an interception over a real BGP session,
-# and read alerts/metrics back over HTTP with the race detector on.
-go test -race -count=1 -run 'TestServeSmoke|TestServeObsSmoke|TestServeEndToEnd|TestCollectorReconnect|TestBatchSizeEquivalence' \
-    ./cmd/quicksand/ ./internal/monitord/
+# and read alerts/metrics back over HTTP with the race detector on. The
+# live RIB must agree with the trie-backed reference after every step of
+# random streams, and the daemon and the fleet must raise the batch
+# monitor's alert multiset.
+go test -race -count=1 -run 'TestServeSmoke|TestServeObsSmoke|TestServeEndToEnd|TestCollectorReconnect|TestBatchSizeEquivalence|TestRIBDifferential|TestMonitordMatchesBatchMonitor|TestFleetMatchesBatchMonitor' \
+    ./cmd/quicksand/ ./internal/monitord/ ./internal/testkit/
 
 echo "== RIB snapshot round trip =="
 # Save the live RIB to the versioned binary snapshot and restore it into
 # a fresh daemon: the table must round-trip bit for bit (including
 # empty-AS_PATH announcements and absent withdrawn prefixes) and the
-# restored routes must replay through the streaming monitor.
-go test -count=1 -run 'TestSnapshotRoundTrip|TestSnapshotFileRoundTrip|TestSnapshotReplaysThroughMonitor|TestSnapshotRejectsGarbage' \
+# restored routes must replay through the streaming monitor. A header
+# claiming 2^28 sessions must fail without reserving memory for them, and
+# a fixed update stream must save to the golden snapshot byte for byte.
+go test -count=1 -run 'TestSnapshotRoundTrip|TestSnapshotFileRoundTrip|TestSnapshotReplaysThroughMonitor|TestSnapshotRejectsGarbage|TestSnapshotHostileSessionCount|TestSnapshotGolden' \
     ./internal/monitord/
 
 echo "== metrics lint (Prometheus exposition format) =="
