@@ -149,6 +149,7 @@ func runLoadtest(o *loadtestOpts, logw io.Writer) (*loadtestReport, *obs.Snapsho
 			Speaker: bgpd.Config{
 				ASN:   64500,
 				BGPID: netip.AddrFrom4([4]byte{198, 51, 100, byte(1 + i)}),
+				AS4:   true, // tracer origins run past 65535
 			},
 			ListenBGP:  "127.0.0.1:0",
 			ListenHTTP: "127.0.0.1:0",
@@ -259,6 +260,7 @@ func runFleetLoadtest(o *loadtestOpts, logw io.Writer) (*loadtestReport, *obs.Sn
 		Speaker: bgpd.Config{
 			ASN:   64500,
 			BGPID: netip.AddrFrom4([4]byte{198, 51, 100, 1}),
+			AS4:   true, // tracer origins run past 65535
 		},
 		ListenBGP:  "127.0.0.1:0",
 		ListenHTTP: "127.0.0.1:0",

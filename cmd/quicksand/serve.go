@@ -61,7 +61,7 @@ func serveFlags(fs *flag.FlagSet) *serveOpts {
 	fs.StringVar(&o.mrtFiles, "mrt", "", "comma-separated BGP4MP update archives to ingest at startup")
 	fs.StringVar(&o.ribFile, "rib-snapshot", "", "TABLE_DUMP_V2 snapshot to seed the live RIB from at startup")
 	fs.StringVar(&o.snapshot, "snapshot", "", "binary RIB snapshot file: restored at startup if present, written at shutdown")
-	fs.UintVar(&o.asn, "asn", 64512, "local AS number")
+	fs.UintVar(&o.asn, "asn", 64512, "local AS number (4-byte AS support is advertised whatever its size)")
 	fs.StringVar(&o.bgpID, "bgp-id", "198.51.100.1", "local BGP identifier (IPv4)")
 	fs.DurationVar(&o.hold, "hold", 90*time.Second, "proposed BGP hold time (0 disables keepalives)")
 	fs.IntVar(&o.learn, "learn", 0, "treat the first N updates as a clean learning window before arming upstream alarms")
@@ -170,8 +170,10 @@ func (o *serveOpts) serveConfig(logf func(string, ...any)) (monitord.Config, err
 	}
 	return monitord.Config{
 		Watched: watched,
+		// AS4 is advertised even on a 2-byte -asn, so origins above
+		// 65535 from a 4-byte-capable peer are not flattened to AS_TRANS.
 		Speaker: bgpd.Config{
-			ASN: bgp.ASN(o.asn), BGPID: bgpID, HoldTime: o.hold,
+			ASN: bgp.ASN(o.asn), BGPID: bgpID, HoldTime: o.hold, AS4: true,
 		},
 		ListenBGP:      o.listenBGP,
 		ListenHTTP:     o.listenHTTP,

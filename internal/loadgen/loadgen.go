@@ -358,6 +358,9 @@ func dialSession(addr string, asn bgp.ASN) (*bgpd.Session, error) {
 	sess, err := bgpd.Establish(conn, bgpd.Config{
 		ASN:   asn,
 		BGPID: netip.AddrFrom4([4]byte{203, 0, 113, byte(1 + asn%250)}),
+		// AS4 keeps tracer origins past 65535 intact on the wire
+		// instead of flattening them to AS_TRANS.
+		AS4: true,
 		// HoldTime 0: the harness saturates the write side and must not
 		// be torn down for not reading keepalives fast enough.
 	})

@@ -16,8 +16,10 @@ import (
 	"quicksand/internal/monitord"
 )
 
+// monitordSpeaker advertises AS4 on a 2-byte ASN, as `quicksand serve`
+// and `quicksand loadtest` do.
 func monitordSpeaker() bgpd.Config {
-	return bgpd.Config{ASN: 64500, BGPID: netip.MustParseAddr("198.51.100.1")}
+	return bgpd.Config{ASN: 64500, BGPID: netip.MustParseAddr("198.51.100.1"), AS4: true}
 }
 
 var watched = netip.MustParsePrefix("10.99.0.0/16")
@@ -96,6 +98,29 @@ func TestRunFleetInProcess(t *testing.T) {
 				t.Errorf("target %s: non-positive latency %v", tr.Name, l)
 			}
 		}
+	}
+}
+
+// TestTracersPastAS65535 starts the tracer origins just below the 2-byte
+// ASN limit: every tracer from TracerBase+6 on needs a 4-byte origin,
+// which survives only if the load sessions negotiate AS4 (otherwise it
+// arrives as AS_TRANS and the tracer is never matched).
+func TestTracersPastAS65535(t *testing.T) {
+	d := newDaemon(t)
+	cfg := baseConfig(Target{Name: "a", BGPAddr: d.BGPAddr(), Alerts: d})
+	cfg.Sessions = 1
+	cfg.Rate = 2000
+	cfg.TracerBase = 65530
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TracersInjected <= 6 {
+		t.Fatalf("only %d tracers injected; none past AS65535", res.TracersInjected)
+	}
+	if res.TracersLost != 0 || res.TracersDetected != res.TracersInjected {
+		t.Errorf("detected %d of %d tracers (%d lost) with origins from AS65530",
+			res.TracersDetected, res.TracersInjected, res.TracersLost)
 	}
 }
 

@@ -89,22 +89,42 @@ func compileFull(g *Graph) *Compiled {
 // recompileDelta rebuilds only the rows of ASes marked dirty since old
 // was compiled, reusing the interning and every clean row. Valid only
 // while the AS set is unchanged (link mutations never add or remove
-// ASes).
+// ASes). Each run of clean rows between two dirty ids is copied with one
+// append and its offsets shifted, so only the dirty rows are looked up in
+// the graph.
 func recompileDelta(g *Graph, old *Compiled) *Compiled {
 	c := &Compiled{version: g.version, asns: old.asns, idOf: old.idOf}
+	dirty := make([]int32, 0, len(g.dirty))
+	for asn := range g.dirty {
+		dirty = append(dirty, old.idOf[asn])
+	}
+	slices.Sort(dirty)
 	rebuild := func(oldOff, oldAdj []int32, pick rowsOf) (off, adj []int32) {
-		off = make([]int32, len(c.asns)+1)
-		adj = make([]int32, 0, len(oldAdj)+2*len(g.dirty))
-		for i, asn := range c.asns {
-			if g.dirty[asn] {
-				for _, nb := range pick(g.ases[asn]) {
-					adj = append(adj, c.idOf[nb])
-				}
-			} else {
-				adj = append(adj, oldAdj[oldOff[i]:oldOff[i+1]]...)
-			}
-			off[i+1] = int32(len(adj))
+		total := len(oldAdj)
+		for _, d := range dirty {
+			total += len(pick(g.ases[c.asns[d]])) - int(oldOff[d+1]-oldOff[d])
 		}
+		off = make([]int32, len(c.asns)+1)
+		adj = make([]int32, 0, total)
+		// copyClean appends the clean rows [from, to) and their shifted
+		// offsets.
+		copyClean := func(from, to int32) {
+			shift := int32(len(adj)) - oldOff[from]
+			adj = append(adj, oldAdj[oldOff[from]:oldOff[to]]...)
+			for i := from + 1; i <= to; i++ {
+				off[i] = oldOff[i] + shift
+			}
+		}
+		next := int32(0) // first row not yet emitted
+		for _, d := range dirty {
+			copyClean(next, d)
+			for _, nb := range pick(g.ases[c.asns[d]]) {
+				adj = append(adj, c.idOf[nb])
+			}
+			off[d+1] = int32(len(adj))
+			next = d + 1
+		}
+		copyClean(next, int32(len(c.asns)))
 		return off, adj
 	}
 	c.custOff, c.cust = rebuild(old.custOff, old.cust, func(a *AS) []bgp.ASN { return a.customers })
@@ -142,9 +162,10 @@ func (g *Graph) Version() uint64 { return g.version }
 
 // Scratch holds the reusable working memory of ComputeRoutesInto so a
 // caller computing many tables (one per churn event, one per trial)
-// allocates essentially nothing after the first call. The zero value is
-// ready to use. A Scratch must not be used concurrently.
+// allocates nothing after the first call. The zero value is ready to
+// use. A Scratch must not be used concurrently.
 type Scratch struct {
+	origIDs        []int32
 	frontier, next []int32
 
 	// Per-id phase-1 candidate state, epoch-stamped so rounds reset in
@@ -290,32 +311,42 @@ func (c *Compiled) Routes(s *Scratch, filter ImportFilter, origins ...Origin) (*
 // Graph.ComputeRoutesFiltered: it fills dst (grown as needed) with every
 // AS's best policy-compliant route toward the given origins and returns
 // it. The decision process, export rules, and every deterministic
-// tiebreak match the legacy implementation bit for bit — ids are
-// ASN-ordered, so id comparisons reproduce the lowest-next-hop-ASN rule,
-// and the bucketed phase-3 queue pops in the same (pathLen, ASN) order
-// as the heap it replaces.
+// tiebreak match the legacy implementation bit for bit; ids are
+// ASN-ordered, so id comparisons reproduce the lowest-next-hop-ASN rule.
+//
+// No id list is ever sorted, because the result does not depend on the
+// processing order within a phase-1 round or a phase-3 bucket:
+//   - Phase 1 keeps, per provider, the minimum (next hop, origin) over
+//     the round's offers, and writes dst only after the round, so every
+//     offer in a round sees the same settled state.
+//   - Phase 3 processes buckets in length order. A provider route of
+//     length l+1 is set only while bucket l is processed, and is then
+//     overwritten only by a lower next-hop ASN at the same length; each
+//     id enters its bucket once, when it first gets a route. So every
+//     entry of bucket l is final before bucket l is read, no entry goes
+//     stale, and each customer ends with the lowest next hop among its
+//     length-l providers whatever their order.
 func (c *Compiled) ComputeRoutesInto(dst []Route, s *Scratch, filter ImportFilter, origins ...Origin) ([]Route, error) {
 	if len(origins) == 0 {
 		return dst, fmt.Errorf("topology: no origins")
 	}
 	n := len(c.asns)
-	origIDs := make([]int32, len(origins))
+	origIDs := s.origIDs[:0]
 	scoped := false
-	for i, o := range origins {
+	for _, o := range origins {
 		id, ok := c.idOf[o.ASN]
 		if !ok {
 			return dst, fmt.Errorf("topology: origin %v not in graph", o.ASN)
 		}
-		for j := 0; j < i; j++ {
-			if origIDs[j] == id {
-				return dst, fmt.Errorf("topology: duplicate origin %v", o.ASN)
-			}
+		if slices.Contains(origIDs, id) {
+			return dst, fmt.Errorf("topology: duplicate origin %v", o.ASN)
 		}
-		origIDs[i] = id
+		origIDs = append(origIDs, id)
 		if len(o.WithholdFrom) > 0 || len(o.AnnounceOnly) > 0 {
 			scoped = true
 		}
 	}
+	s.origIDs = origIDs
 
 	if cap(dst) < n {
 		dst = make([]Route, n)
@@ -344,7 +375,6 @@ func (c *Compiled) ComputeRoutesInto(dst []Route, s *Scratch, filter ImportFilte
 		dst[id] = Route{Type: RouteOrigin, Origin: c.asns[id]}
 	}
 	s.frontier = append(s.frontier, origIDs...)
-	sortInt32(s.frontier)
 	for length := 1; len(s.frontier) > 0; length++ {
 		s.epoch++
 		s.next = s.next[:0]
@@ -372,7 +402,6 @@ func (c *Compiled) ComputeRoutesInto(dst []Route, s *Scratch, filter ImportFilte
 				}
 			}
 		}
-		sortInt32(s.next)
 		for _, p := range s.next {
 			dst[p] = Route{Type: RouteCustomer, NextHop: c.asns[s.candNext[p]], PathLen: length, Origin: s.candOrig[p]}
 		}
@@ -415,8 +444,7 @@ func (c *Compiled) ComputeRoutesInto(dst []Route, s *Scratch, filter ImportFilte
 
 	// Phase 3 — provider routes, shortest-first. Every routed AS enters
 	// the bucket of its path length; buckets are processed in length
-	// order and id-ascending within a bucket, which is exactly the pop
-	// order of the legacy (pathLen, asn) heap.
+	// order (see the doc comment for why order within one is free).
 	for id := int32(0); id < int32(n); id++ {
 		if dst[id].Type != RouteNone {
 			b := s.bucket(dst[id].PathLen)
@@ -424,13 +452,8 @@ func (c *Compiled) ComputeRoutesInto(dst []Route, s *Scratch, filter ImportFilte
 		}
 	}
 	for l := 0; l < s.used; l++ {
-		q := s.buckets[l]
-		sortInt32(q)
-		for _, u := range q {
+		for _, u := range s.buckets[l] {
 			ru := dst[u]
-			if ru.PathLen != l {
-				continue // stale entry (defensive; cannot occur)
-			}
 			nl := l + 1
 			for _, ch := range c.customers(u) {
 				if scoped && !exports(u, c.asns[ch]) {
@@ -455,5 +478,3 @@ func (c *Compiled) ComputeRoutesInto(dst []Route, s *Scratch, filter ImportFilte
 	}
 	return dst, nil
 }
-
-func sortInt32(s []int32) { slices.Sort(s) }

@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"quicksand/internal/bgp"
@@ -112,17 +113,35 @@ func TestCompiledDeltaRecompile(t *testing.T) {
 			t.Fatalf("%s: %v", step, err)
 		}
 		diffTables(t, cr, rt)
-		// The delta-recompiled snapshot must equal a from-scratch one.
+		// The delta-recompiled snapshot must equal a from-scratch one,
+		// array for array.
 		full := compileFull(g)
 		cur := g.Compiled()
-		if len(full.cust) != len(cur.cust) || len(full.peer) != len(cur.peer) || len(full.prov) != len(cur.prov) {
-			t.Fatalf("%s: delta recompile CSR sizes diverge from full compile", step)
-		}
-		for i := range full.cust {
-			if full.cust[i] != cur.cust[i] {
-				t.Fatalf("%s: customer row mismatch at %d", step, i)
+		for _, a := range []struct {
+			name       string
+			want, have []int32
+		}{
+			{"custOff", full.custOff, cur.custOff}, {"cust", full.cust, cur.cust},
+			{"peerOff", full.peerOff, cur.peerOff}, {"peer", full.peer, cur.peer},
+			{"provOff", full.provOff, cur.provOff}, {"prov", full.prov, cur.prov},
+		} {
+			if !slices.Equal(a.want, a.have) {
+				t.Fatalf("%s: delta-recompiled %s diverges from full compile:\nfull  %v\ndelta %v", step, a.name, a.want, a.have)
 			}
 		}
+	}
+	// flap removes the link a-b, checks, restores it with restore, and
+	// checks again.
+	flap := func(name string, a, b bgp.ASN, restore func(a, b bgp.ASN) error) {
+		t.Helper()
+		if !g.RemoveLink(a, b) {
+			t.Fatalf("%s: RemoveLink(%v, %v) failed", name, a, b)
+		}
+		check(name + ": removed")
+		if err := restore(a, b); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		check(name + ": restored")
 	}
 
 	check("initial")
@@ -146,6 +165,43 @@ func TestCompiledDeltaRecompile(t *testing.T) {
 	if err := g.AddPeering(t2[0], t2[len(t2)-1]); err == nil {
 		check("after AddPeering")
 	}
+	// Dirty row at id 0: the lowest ASN loses and regains a customer.
+	first := all[0]
+	flap("id 0", first, g.AS(first).Customers()[0], g.AddLink)
+	// Dirty row at the last id: the highest ASN loses and regains a
+	// provider.
+	last := all[len(all)-1]
+	flap("last id", g.AS(last).Providers()[0], last, g.AddLink)
+	// Two adjacent dirty ids: consecutive stubs gain and lose a peering.
+	stubs := g.TierASNs(3)
+	a, b := stubs[10], stubs[11]
+	if id, _ := g.Compiled().ID(a); all[id+1] != b {
+		t.Fatalf("stubs %v and %v are not adjacent ids", a, b)
+	}
+	if err := g.AddPeering(a, b); err != nil {
+		t.Fatal(err)
+	}
+	check("adjacent ids: peered")
+	flap("adjacent ids", a, b, g.AddPeering)
+	// A row that becomes empty: a stub loses every provider, then gets
+	// them back.
+	lone := stubs[20]
+	provs := slices.Clone(g.AS(lone).Providers())
+	for _, p := range provs {
+		if !g.RemoveLink(p, lone) {
+			t.Fatalf("RemoveLink(%v, %v) failed", p, lone)
+		}
+	}
+	if n := len(g.AS(lone).Providers()); n != 0 {
+		t.Fatalf("stub %v still has %d providers", lone, n)
+	}
+	check("emptied row")
+	for _, p := range provs {
+		if err := g.AddLink(p, lone); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("refilled row")
 	// Growing the AS set forces (and survives) a full recompile.
 	if err := g.AddLink(t2[0], bgp.ASN(999999)); err != nil {
 		t.Fatal(err)
@@ -154,6 +210,43 @@ func TestCompiledDeltaRecompile(t *testing.T) {
 	// No mutation: the snapshot is cached.
 	if g.Compiled() != g.Compiled() {
 		t.Fatal("Compiled() rebuilt the snapshot without a mutation")
+	}
+}
+
+// TestComputeRoutesIntoZeroAlloc pins the hot-caller configuration of
+// the compiled kernel (snapshot, scratch and result array reused) at zero
+// allocations per table, for both one- and two-origin tables.
+func TestComputeRoutesIntoZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	g, err := Generate(GenConfig{
+		Tier1: 3, Tier2: 20, Tier3: 100,
+		Tier2PeerProb: 0.1, MaxT2Providers: 2, MaxT3Providers: 2, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := g.Compiled()
+	stubs := g.TierASNs(3)
+	var s Scratch
+	for _, origins := range [][]Origin{
+		{{ASN: stubs[0]}},
+		{{ASN: stubs[1]}, {ASN: stubs[2]}},
+	} {
+		dst, err := c.ComputeRoutesInto(nil, &s, nil, origins...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			dst, err = c.ComputeRoutesInto(dst, &s, nil, origins...)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("%d origins: %.1f allocs per table, want 0", len(origins), allocs)
+		}
 	}
 }
 

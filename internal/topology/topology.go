@@ -308,8 +308,8 @@ func (t RouteType) String() string {
 // Route is one AS's best route toward the computed destination.
 type Route struct {
 	Type    RouteType
-	NextHop bgp.ASN // meaningless for RouteOrigin
 	PathLen int     // number of AS hops to the origin (0 at the origin)
+	NextHop bgp.ASN // meaningless for RouteOrigin
 	Origin  bgp.ASN // which origin this AS ends up routing to
 }
 

@@ -10,7 +10,8 @@
 #   5. go test -race ./...
 #   6. route-engine differential: compiled vs legacy vs naive oracle,
 #      including delta recompilation, the golden engine toggle, and the
-#      subsampled power-law differential at 2K-8K ASes
+#      subsampled power-law differential at 2K-8K ASes, plus the
+#      zero-allocation pin on the reused-scratch route kernel
 #  6b. resilience differential under -race: the sharded Counter-RAPTOR
 #      engine vs the brute-force oracle, the sampled estimator vs the
 #      exact matrix, and worker-count invariance
@@ -27,7 +28,8 @@
 #      fleet-aggregated expositions (LintPromURL)
 #  9b. loadtest smoke: the fleet load harness against two in-process
 #      instances under -race — at least one tracer hijack detected and
-#      the aggregated exposition lint-clean
+#      the aggregated exposition lint-clean — and every tracer detected
+#      when tracer origins cross AS65535 (4-byte ASNs over AS4 sessions)
 #  9c. fleet router smoke under -race: the sharded watchlist router end
 #      to end (BGP + HTTP + merged alerts), the shard-death failover
 #      test, the fleet-vs-batch alert-multiset equivalence at widths 1
@@ -73,8 +75,10 @@ echo "== route-engine differential (compiled vs legacy vs naive oracle) =="
 # implementation and the testkit fixpoint oracle — on random topologies
 # (single origin, multi-origin hijack, announcement scoping, ROV
 # filters), across delta recompilations after graph mutations, and in
-# the end-to-end golden pipeline with the engine toggled off.
-go test -count=1 -run 'TestOracleAgrees|TestCompiledEngineAfterMutations|TestCompiledMatchesLegacy|TestCompiledDeltaRecompile|TestGoldenEngineInvariance|TestScaledDifferential|TestDeltaRecompileRandomChurn' \
+# the end-to-end golden pipeline with the engine toggled off. With its
+# snapshot, scratch and result array reused, the kernel must allocate
+# nothing per table.
+go test -count=1 -run 'TestOracleAgrees|TestCompiledEngineAfterMutations|TestCompiledMatchesLegacy|TestCompiledDeltaRecompile|TestGoldenEngineInvariance|TestScaledDifferential|TestDeltaRecompileRandomChurn|TestComputeRoutesIntoZeroAlloc' \
     ./internal/testkit/ ./internal/topology/ ./cmd/quicksand/
 
 echo "== resilience differential (sharded engine vs brute-force oracle, -race) =="
@@ -118,9 +122,10 @@ echo "== loadtest smoke (fleet harness + aggregated metrics, -race) =="
 # The fleet load harness end to end under the race detector: two
 # in-process monitord instances, real TCP load sessions, tracer hijacks
 # detected through the HTTP /alerts API, and the merged two-instance
-# exposition lint-clean.
-go test -race -count=1 -run 'TestLoadtestSmoke|TestLoadtestCmdJSON' \
-    ./cmd/quicksand/
+# exposition lint-clean. Tracer origins past AS65535 must survive the
+# wire as 4-byte ASNs, so every tracer is still detected.
+go test -race -count=1 -run 'TestLoadtestSmoke|TestLoadtestCmdJSON|TestTracersPastAS65535' \
+    ./cmd/quicksand/ ./internal/loadgen/
 
 echo "== fleet router smoke (sharded watchlist + failover + equivalence, -race) =="
 # The fleet tentpole under the race detector: the router's longest-
