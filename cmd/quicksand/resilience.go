@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"strconv"
 	"strings"
@@ -235,7 +234,7 @@ func resilBigPhase(o *resilOpts, rep *resilReport) error {
 	if o.bigGuards < 1 || o.bigGuards > len(asns) {
 		return fmt.Errorf("-big-guards %d out of range", o.bigGuards)
 	}
-	rng := rand.New(rand.NewSource(par.TrialSeed(o.seed, 3<<20)))
+	rng := par.TrialRand(o.seed, 3<<20)
 	seen := make(map[bgp.ASN]bool, o.bigGuards)
 	var guards []bgp.ASN
 	for len(guards) < o.bigGuards {

@@ -5,8 +5,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
+	"os"
+	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"quicksand/internal/attacks"
@@ -100,6 +102,27 @@ type topoReport struct {
 	AffectedMean      float64 `json:"affected_mean"`
 	RepairedTotal     int     `json:"repaired_total"`
 	RefixpointedTotal int     `json:"refixpointed_total"`
+
+	// The machine the record was measured on.
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NProc      int    `json:"nproc"`
+	CPU        string `json:"cpu"`
+}
+
+// cpuModel returns the "model name" of the first CPU in /proc/cpuinfo,
+// or "" when it cannot be read.
+func cpuModel() string {
+	raw, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
 }
 
 func topoCmd(args []string, out io.Writer) error {
@@ -129,7 +152,14 @@ func topoCmd(args []string, out io.Writer) error {
 
 func runTopo(o *topoOpts) (*topoReport, error) {
 	cfg := o.config()
-	rep := &topoReport{Seed: o.seed, Dests: o.dests}
+	rep := &topoReport{
+		Seed:       o.seed,
+		Dests:      o.dests,
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NProc:      runtime.NumCPU(),
+		CPU:        cpuModel(),
+	}
 
 	start := time.Now()
 	g, err := topology.GeneratePowerLaw(cfg)
@@ -151,7 +181,7 @@ func runTopo(o *topoOpts) (*topoReport, error) {
 	if o.dests > len(asns) {
 		return nil, fmt.Errorf("-dests %d exceeds %d ASes", o.dests, len(asns))
 	}
-	rng := rand.New(rand.NewSource(par.TrialSeed(o.seed, 1<<20)))
+	rng := par.TrialRand(o.seed, 1<<20)
 	seen := map[bgp.ASN]bool{asns[0]: true}
 	dests := []bgp.ASN{asns[0]}
 	for len(dests) < o.dests {
@@ -197,7 +227,7 @@ func topoHijacks(o *topoOpts, g *topology.Graph, dests []bgp.ASN, rep *topoRepor
 	}
 	asns := g.ASNs()
 	fracs, err := par.Map(o.workers, o.hijacks, func(i int) (float64, error) {
-		rng := rand.New(rand.NewSource(par.TrialSeed(o.seed, i)))
+		rng := par.TrialRand(o.seed, i)
 		victim := dests[rng.Intn(len(dests))]
 		attacker := asns[rng.Intn(len(asns))]
 		for attacker == victim {
@@ -249,7 +279,7 @@ func topoChurn(o *topoOpts, g *topology.Graph, rs *topology.RouteSet, rep *topoR
 		return edges[i].a < edges[j].a || (edges[i].a == edges[j].a && edges[i].b < edges[j].b)
 	})
 
-	rng := rand.New(rand.NewSource(par.TrialSeed(o.seed, 2<<20)))
+	rng := par.TrialRand(o.seed, 2<<20)
 	var deltaTotal time.Duration
 	applies := 0
 	for ev := 0; ev < o.churn; ev++ {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -42,6 +43,15 @@ func TestTopoCmdJSON(t *testing.T) {
 	}
 	if rep.ChurnEvents != 6 {
 		t.Errorf("churn events %d, want 6 (3 flaps, 2 applies each)", rep.ChurnEvents)
+	}
+	if rep.GoVersion != runtime.Version() || rep.GOMAXPROCS != runtime.GOMAXPROCS(0) || rep.NProc != runtime.NumCPU() {
+		t.Errorf("machine fingerprint go=%q gomaxprocs=%d nproc=%d, want %q %d %d",
+			rep.GoVersion, rep.GOMAXPROCS, rep.NProc, runtime.Version(), runtime.GOMAXPROCS(0), runtime.NumCPU())
+	}
+	for _, key := range []string{`"go_version"`, `"gomaxprocs"`, `"nproc"`, `"cpu"`} {
+		if !bytes.Contains(out.Bytes(), []byte(key)) {
+			t.Errorf("record lacks %s", key)
+		}
 	}
 }
 

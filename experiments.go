@@ -348,7 +348,7 @@ func (w *World) RunHijackStudy(cfg HijackStudyConfig) (*HijackStudyResult, error
 	nTrials := cfg.TopPrefixes * cfg.Attackers
 	outs, err := par.Map(cfg.Workers, nTrials, func(i int) (trial, error) {
 		victim := w.Origins[prefixes[i/cfg.Attackers]]
-		trng := rand.New(rand.NewSource(par.TrialSeed(cfg.Seed, i)))
+		trng := par.TrialRand(cfg.Seed, i)
 		attacker, err := sampleAttacker(trng, all, victim)
 		if err != nil {
 			return trial{}, err
@@ -379,7 +379,7 @@ func (w *World) RunHijackStudy(cfg HijackStudyConfig) (*HijackStudyResult, error
 	// One more-specific hijack for the comparison row; its attacker draw
 	// gets the trial stream one past the hijack trials.
 	victim := w.Origins[prefixes[0]]
-	msRng := rand.New(rand.NewSource(par.TrialSeed(cfg.Seed, nTrials)))
+	msRng := par.TrialRand(cfg.Seed, nTrials)
 	attacker, err := sampleAttacker(msRng, all, victim)
 	if err != nil {
 		return nil, err
@@ -474,7 +474,7 @@ func (w *World) RunInterceptStudy(cfg InterceptStudyConfig) (*InterceptStudyResu
 	outs, err := par.Map(cfg.Workers, cfg.Trials, func(i int) (trial, error) {
 		victim := w.Origins[prefixes[i%min(len(prefixes), 10)]]
 		tseed := par.TrialSeed(cfg.Seed, i)
-		trng := rand.New(rand.NewSource(tseed))
+		trng := par.TrialRand(cfg.Seed, i)
 		attacker, err := sampleAttacker(trng, all, victim)
 		if err != nil {
 			return trial{}, err

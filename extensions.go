@@ -241,7 +241,7 @@ func (w *World) RunRotationStudy(cfg RotationStudyConfig) (*RotationStudyResult,
 		lseed := par.TrialSeed(cfg.Seed, lifetime)
 		firstHit, err := par.Map(cfg.Workers, cfg.Clients, func(c int) (int, error) {
 			cseed := par.TrialSeed(lseed, c)
-			crng := rand.New(rand.NewSource(cseed))
+			crng := par.TrialRand(lseed, c)
 			client := stubs[crng.Intn(len(stubs))]
 			var gs *torpath.GuardSet
 			for m := 0; m < cfg.Months; m++ {

@@ -1,6 +1,7 @@
 package monitord
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"quicksand/internal/bgp"
 )
 
 // newHTTPDaemon starts a daemon serving HTTP on loopback with two
@@ -208,4 +211,78 @@ func TestHTTPMetrics(t *testing.T) {
 			t.Errorf("/metrics missing %q\n%s", want, text)
 		}
 	}
+}
+
+// FuzzHTTPQuery drives the /alerts and /rib handlers with arbitrary raw
+// query strings. Whatever the query, the API must not panic or answer
+// 5xx, every 200 must carry valid JSON, and /alerts must never return
+// more than MaxAlertsPerRequest alerts. The daemon holds more alerts
+// than that ceiling, so an unclamped ?max= would show.
+func FuzzHTTPQuery(f *testing.F) {
+	for _, q := range []string{
+		"", "since=0", "since=1&max=5", "max=0", "max=-1", "max=99999999999999999999",
+		"since=18446744073709551615", "since=x", "max=10001", "since=%zz",
+		"prefix=10.0.0.0/16", "prefix=10.0.1.7/32", "addr=10.0.1.7", "addr=::1",
+		"addr=fe80::1%25eth0", "prefix=::/0", "prefix=nope", "addr=", "prefix=&addr=10.0.0.1",
+		"prefix=10.0.0.0/16&prefix=junk", ";;&&==",
+	} {
+		f.Add(q)
+	}
+
+	d, err := New(Config{
+		Watched:     map[netip.Prefix]bgp.ASN{watchedPrefix: watchedOrigin},
+		Shards:      2,
+		AlertBuffer: MaxAlertsPerRequest + 64,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		d.Shutdown(ctx)
+	})
+	si := d.RegisterSource("fuzz", 64501)
+	t0 := time.Unix(1000, 0)
+	d.Ingest(si, t0, watchedPrefix, asns(64501, 64500, 64496))
+	base := watchedPrefix.Addr().As4()
+	for i := 0; i < MaxAlertsPerRequest+32; i++ {
+		a := base
+		a[2], a[3] = byte(i>>8), byte(i)
+		d.Ingest(si, t0, netip.PrefixFrom(netip.AddrFrom4(a), 32), asns(64501, 666))
+	}
+	if !d.WaitQuiesce(30 * time.Second) {
+		f.Fatal("pipeline did not quiesce")
+	}
+	if n := d.rng.total(); n <= MaxAlertsPerRequest {
+		f.Fatalf("setup raised %d alerts, want more than %d", n, MaxAlertsPerRequest)
+	}
+	h := d.handler()
+
+	f.Fuzz(func(t *testing.T, raw string) {
+		for _, path := range []string{"/alerts", "/rib"} {
+			req := httptest.NewRequest(http.MethodGet, path, nil)
+			req.URL.RawQuery = raw
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code >= 500 {
+				t.Fatalf("GET %s?%s: status %d: %s", path, raw, rec.Code, rec.Body)
+			}
+			if rec.Code != http.StatusOK {
+				continue
+			}
+			if !json.Valid(rec.Body.Bytes()) {
+				t.Fatalf("GET %s?%s: 200 with invalid JSON %q", path, raw, rec.Body)
+			}
+			if path == "/alerts" {
+				var resp alertsResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+					t.Fatalf("GET %s?%s: decoding: %v", path, raw, err)
+				}
+				if len(resp.Alerts) > MaxAlertsPerRequest {
+					t.Fatalf("GET %s?%s: %d alerts, ceiling %d", path, raw, len(resp.Alerts), MaxAlertsPerRequest)
+				}
+			}
+		}
+	})
 }

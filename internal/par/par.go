@@ -1,6 +1,7 @@
 // Package par is the experiment engine's parallel substrate: a bounded
 // worker pool with ordered result collection and deterministic error
-// propagation, plus splitmix64-based per-trial seed derivation.
+// propagation, plus splitmix64-based per-trial seed derivation and the
+// lazily seeded per-trial RNG built on it.
 //
 // The contract every study in the root package relies on is that a
 // fan-out over n independent trials produces bit-for-bit identical
@@ -8,9 +9,9 @@
 //
 //  1. results are collected positionally (trial i writes slot i), so
 //     scheduling order never reorders output;
-//  2. no trial reads a shared RNG — each derives its own rand.Source
-//     from TrialSeed(studySeed, i), so no trial's draws depend on how
-//     many trials ran before it on the same goroutine.
+//  2. no trial reads a shared RNG — each draws from its own
+//     TrialRand(studySeed, i), so no trial's draws depend on how many
+//     trials ran before it on the same goroutine.
 //
 // Stdlib only.
 package par

@@ -228,7 +228,7 @@ func Compute(g *topology.Graph, cfg Config, met *Metrics) (*Matrix, error) {
 					}
 				}
 			} else {
-				rng := rand.New(rand.NewSource(par.TrialSeed(cfg.Seed, gi)))
+				rng := par.TrialRand(cfg.Seed, gi)
 				attackers = sampleIDs(attackers, rng, n, gID, budget)
 			}
 			for _, aid := range attackers {

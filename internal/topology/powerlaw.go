@@ -150,7 +150,7 @@ func GeneratePowerLaw(cfg PowerLawConfig) (*Graph, error) {
 		maxW = 1
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	g := NewGraph()
+	g := &Graph{ases: make(map[bgp.ASN]*AS, cfg.N)}
 
 	// Core clique.
 	tier1 := make([]bgp.ASN, cfg.Tier1)
@@ -255,7 +255,7 @@ func GeneratePowerLaw(cfg PowerLawConfig) (*Graph, error) {
 	// and are applied sequentially in index order.
 	stubs := cfg.N - cfg.Tier1 - m
 	picks, err := par.Map(cfg.Workers, stubs, func(i int) ([]int32, error) {
-		trng := rand.New(rand.NewSource(par.TrialSeed(cfg.Seed, i)))
+		trng := par.TrialRand(cfg.Seed, i)
 		n := 1 + trng.Intn(cfg.MaxProviders)
 		out := make([]int32, 0, n)
 		for k := 0; k < n; k++ {

@@ -2,7 +2,10 @@ package topology
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -80,6 +83,50 @@ func TestPowerLawDeterministicAcrossWorkers(t *testing.T) {
 	cfg.Seed = 100
 	if bytes.Equal(mustPowerLaw(t, cfg).AppendCanonical(nil), want) {
 		t.Fatal("seed change did not change the graph")
+	}
+}
+
+// TestPowerLawGolden pins generator output from one commit to the next:
+// the SHA-256 of the canonical encoding at 8K ASes for Workers 1 and 0,
+// and of the shared 73K graph (skipped under -short and -race). A change
+// to the generator, the per-stub RNG streams or the encoding moves them.
+func TestPowerLawGolden(t *testing.T) {
+	const want8K = "2149e547028e90d091800c57e8c3961add0b5aa1e0fe12f8112d7429cbe867d9"
+	for _, workers := range []int{1, 0} {
+		cfg := DefaultPowerLawConfig(8000)
+		cfg.Workers = workers
+		if got := canonicalSum(mustPowerLaw(t, cfg)); got != want8K {
+			t.Errorf("8K workers=%d: canonical SHA-256 = %s, want %s", workers, got, want8K)
+		}
+	}
+	graph73K(t)
+	const want73K = "4ff7a95c092c1b276ddddcc9c4f6bb14f5bfd31ffc8503bacbc7724a63ac0946"
+	if got := topo73k.sum; got != want73K {
+		t.Errorf("73K: canonical SHA-256 = %s, want %s", got, want73K)
+	}
+}
+
+func canonicalSum(g *Graph) string {
+	sum := sha256.Sum256(g.AppendCanonical(nil))
+	return hex.EncodeToString(sum[:])
+}
+
+// TestPowerLawAllocBudget pins the generator's allocation at 8K ASes
+// (about 2.3 MiB). Seeding a full math/rand source per stub allocated
+// 41 MiB here, so this fails if the stubs stop using the lazily seeded
+// per-trial RNG.
+func TestPowerLawAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	const budget = 8 << 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	mustPowerLaw(t, DefaultPowerLawConfig(8000))
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Errorf("GeneratePowerLaw(8000) allocated %.1f MiB, budget %d MiB", float64(got)/(1<<20), budget>>20)
 	}
 }
 

@@ -19,11 +19,12 @@ const budgetBytesPerASTable = 64
 var topo73k struct {
 	once sync.Once
 	g    *Graph
+	sum  string // canonical SHA-256 as generated, before any test churns it
 	err  error
 }
 
 // graph73K returns the shared full-Internet-scale topology, generating
-// it once per test binary (~1s). The graph is shared across tests:
+// it once per test binary (~0.1s). The graph is shared across tests:
 // tests may churn links but must never add or remove ASes.
 func graph73K(t *testing.T) *Graph {
 	t.Helper()
@@ -35,6 +36,9 @@ func graph73K(t *testing.T) *Graph {
 	}
 	topo73k.once.Do(func() {
 		topo73k.g, topo73k.err = GeneratePowerLaw(Config73K())
+		if topo73k.err == nil {
+			topo73k.sum = canonicalSum(topo73k.g)
+		}
 	})
 	if topo73k.err != nil {
 		t.Fatalf("generating 73K topology: %v", topo73k.err)

@@ -94,8 +94,13 @@ type Graph struct {
 }
 
 // noteMutation records a structural change touching the given ASes.
+// Before the first compile, or once an AS was added, the next compile is
+// a full one that never reads dirty, so only the version moves.
 func (g *Graph) noteMutation(asns ...bgp.ASN) {
 	g.version++
+	if g.compiled == nil || g.asAdded {
+		return
+	}
 	if g.dirty == nil {
 		g.dirty = make(map[bgp.ASN]bool)
 	}

@@ -231,7 +231,7 @@ func (w *World) RunResilienceStudy(cfg ResilienceStudyConfig) (*ResilienceStudyR
 				anonFrac float64
 			}
 			trials, err := par.Map(cfg.Workers, cfg.HijackTrials, func(t int) (trial, error) {
-				trng := rand.New(rand.NewSource(par.TrialSeed(cfg.Seed, base+cfg.Clients+t)))
+				trng := par.TrialRand(cfg.Seed, base+cfg.Clients+t)
 				ci := trng.Intn(len(clients))
 				gases := picks[ci].guardASp
 				victim := gases[trng.Intn(len(gases))]

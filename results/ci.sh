@@ -12,6 +12,9 @@
 #      including delta recompilation, the golden engine toggle, and the
 #      subsampled power-law differential at 2K-8K ASes, plus the
 #      zero-allocation pin on the reused-scratch route kernel
+#  6a. generator identity: the lazily seeded per-trial RNG against
+#      math/rand draw for draw, the power-law generator's canonical
+#      SHA-256 at 8K and 73K ASes, and its allocation budget at 8K
 #  6b. resilience differential under -race: the sharded Counter-RAPTOR
 #      engine vs the brute-force oracle, the sampled estimator vs the
 #      exact matrix, and worker-count invariance
@@ -80,6 +83,14 @@ echo "== route-engine differential (compiled vs legacy vs naive oracle) =="
 # nothing per table.
 go test -count=1 -run 'TestOracleAgrees|TestCompiledEngineAfterMutations|TestCompiledMatchesLegacy|TestCompiledDeltaRecompile|TestGoldenEngineInvariance|TestScaledDifferential|TestDeltaRecompileRandomChurn|TestComputeRoutesIntoZeroAlloc' \
     ./internal/testkit/ ./internal/topology/ ./cmd/quicksand/
+
+echo "== generator identity (lazy per-trial RNG vs math/rand, power-law golden) =="
+# par.TrialRand must reproduce rand.New(rand.NewSource(TrialSeed(...)))
+# draw for draw, through the lazy lags and past them into the replayed
+# source; the power-law graph must hash to the values pinned before the
+# lazy RNG existed; and generating 8K ASes must stay within 8 MiB.
+go test -count=1 -run 'TestTrialRandMatchesMathRand|TestPowerLawGolden|TestPowerLawAllocBudget' \
+    ./internal/par/ ./internal/topology/
 
 echo "== resilience differential (sharded engine vs brute-force oracle, -race) =="
 # The Counter-RAPTOR matrix must agree with the independent brute-force
